@@ -651,8 +651,7 @@ def update_scores_many(
     annotate(engine="update_scores_many", engine_blocks=len(previous))
 
     from repro.core.results import NodeScores
-    from repro.linalg.incremental import incremental_update, residual_vector
-    from repro.linalg.solvers import _validate_common
+    from repro.linalg.incremental import baseline_residual, incremental_update
     from repro.methods import operator_for, resolve
 
     previous = list(previous)
@@ -702,19 +701,13 @@ def update_scores_many(
             dangling = key[-1]
             old_bundle = operator_for(graph, key, clamp_min=clamp_min)
             for idx in indices:
-                _, t_norm = _validate_common(
-                    None, queries[idx].alpha, vectors[idx], old_bundle
+                baselines[idx] = baseline_residual(
+                    old_bundle,
+                    previous[idx].values,
+                    vectors[idx],
+                    queries[idx].alpha,
+                    dangling,
                 )
-                prev_values = previous[idx].values
-                prev_total = prev_values.sum()
-                if prev_total > 0.0:
-                    baselines[idx] = residual_vector(
-                        old_bundle,
-                        prev_values / prev_total,
-                        t_norm,
-                        queries[idx].alpha,
-                        dangling,
-                    )
         graph.apply_delta(delta)
 
     out: list = [None] * len(previous)

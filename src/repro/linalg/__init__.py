@@ -1,7 +1,11 @@
 """Numerical substrate: transition builders, cached operators and solvers."""
 
 from repro.linalg.batch import BatchResult, power_iteration_batch
-from repro.linalg.incremental import incremental_update, residual_vector
+from repro.linalg.incremental import (
+    baseline_residual,
+    incremental_update,
+    residual_vector,
+)
 from repro.linalg.operator import LinearOperatorBundle
 from repro.linalg.push import forward_push
 from repro.linalg.solvers import (
@@ -34,6 +38,7 @@ __all__ = [
     "forward_push",
     "incremental_update",
     "residual_vector",
+    "baseline_residual",
     "gauss_seidel",
     "direct_solve",
     "patch_dangling",

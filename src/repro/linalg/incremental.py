@@ -2,47 +2,28 @@
 
 A converged score vector ``x`` of the old system becomes, after a graph
 delta replaces the transition ``P`` with ``P'``, an *approximate* solution
-of the new system
-
-.. math::
-
-    \\vec r = \\alpha \\hat P'^T \\vec r + (1 - \\alpha) \\vec t
-
-(``\\hat P'`` the dangling-augmented transition).  Its defect is the
-residual
+of the new system ``r = α·P̂'ᵀr + (1−α)t`` (``P̂'`` the dangling-augmented
+transition).  Its defect
 
 .. math::
 
     \\vec b = (1-\\alpha)\\vec t + \\alpha \\hat P'^T \\vec x - \\vec x
-            = \\alpha (\\hat P' - \\hat P)^T \\vec x + O(tol),
+            = \\alpha (\\hat P' - \\hat P)^T \\vec x + O(tol)
 
-which is supported only on the out-neighbourhood of the rows the delta
-touched — for a small delta, a sparse vector.  The correction
-``e = x' - x`` solves the *linear* system ``e = α·P̂'ᵀ·e + b``, so it can
-be computed by the same Gauss–Southwell residual propagation as
-:func:`~repro.linalg.push.forward_push`, generalised to **signed**
-residual mass: pushing node ``u`` settles ``res[u]`` into the correction
-and forwards ``α·res[u]`` along row ``u`` of ``P'`` — no transpose view is
-ever needed, which also means an update never pays the ``P.T.tocsr()``
-rebuild a cold solve does.
+is supported on the out-neighbourhood of the rows the delta touched — for
+a small delta, a sparse vector — and the correction ``e = x' − x`` solves
+``e = α·P̂'ᵀe + b``.  :func:`incremental_update` hands ``b`` to the
+residual-push kernel :func:`~repro.linalg.push.residual_push` (signed
+residuals, no transpose ever built) and finishes through
+:func:`~repro.linalg.push.power_finish` when the correction de-localises.
 
-Certificate: because each push removes ``|res[u]|`` and re-injects at most
-``α·|res[u]|``, the remaining signed mass ``Σ|res|`` bounds the L1 error
-of ``x + q + res`` by ``Σ|res|·α/(1−α)``.  The solver stops at
-``Σ|res| ≤ tol`` over the *pushable* residual; the dense background
-inherited from the previous solve's own truncation error is frozen as
-"dust" (the exact old-system residual, mass ≤ ~``tol``, plus the
-``tol/n``-floor split, mass ≤ ``tol``) rather than chased around the
-whole graph, so the certified L1 distance from the exact new fixed point
-is ``≤ 3·tol·α/(1−α)`` — the same O(tol) class as a cold power
-iteration's ``tol·α/(1−α)`` guarantee at the same tolerance (see the
-inline notes in :func:`incremental_update`).
-
-When the correction de-localises (large scattered deltas, tiny α,
-``dangling="uniform"`` spraying mass), the solver falls back to
-warm-started power iteration through the same operator bundle, exactly
-like forward push — callers always converge; the win degrades gracefully
-toward the warm-start-only speedup.
+Certificate: the kernel stops at ``Σ|res| ≤ tol``, which bounds the L1
+error of ``x + e + res`` by ``tol·α/(1−α)``.  The dense background that
+the previous solve's own truncation left in ``b`` is split off as frozen
+"dust" (mass ≤ ~2·tol) instead of being chased around the whole graph, so
+the certified L1 distance from the exact new fixed point is
+``≤ 3·tol·α/(1−α)`` — the same O(tol) class as a cold power iteration at
+the same tolerance.
 """
 
 from __future__ import annotations
@@ -50,17 +31,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.errors import ConvergenceError, ParameterError
-from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
-from repro.linalg.push import _THETA_FRACTION
-from repro.linalg.solvers import (
-    PageRankResult,
-    _validate_common,
-    power_iteration,
-)
+from repro.errors import ParameterError
+from repro.linalg.operator import LinearOperatorBundle
+from repro.linalg.push import power_finish, residual_push
+from repro.linalg.solvers import PageRankResult, _validate_common
 from repro.telemetry.trace import record_result
 
-__all__ = ["incremental_update", "residual_vector"]
+__all__ = ["baseline_residual", "incremental_update", "residual_vector"]
 
 
 def residual_vector(
@@ -89,74 +66,25 @@ def residual_vector(
     return alpha * spread + (1.0 - alpha) * teleport - x
 
 
-def _finish(
-    x: np.ndarray,
-    q: np.ndarray,
-    res: np.ndarray,
-    *,
-    epochs: int,
-    converged: bool,
-    history: list[float],
-    method: str,
-) -> PageRankResult:
-    scores = x + q + res
-    np.maximum(scores, 0.0, out=scores)
-    total = scores.sum()
-    if total > 0.0:
-        scores = scores / total
-    else:  # pragma: no cover - degenerate correction
-        scores = x.copy()
-    return record_result(
-        PageRankResult(
-            scores=scores,
-            iterations=epochs,
-            converged=converged,
-            residuals=history,
-            method=method,
-        )
-    )
-
-
-def _fallback(
-    bundle: LinearOperatorBundle,
-    teleport: np.ndarray,
-    x: np.ndarray,
-    q: np.ndarray,
-    res: np.ndarray,
-    *,
+def baseline_residual(
+    old_bundle: LinearOperatorBundle,
+    previous: np.ndarray,
+    teleport: np.ndarray | None,
     alpha: float,
-    tol: float,
-    max_iter: int,
     dangling: str,
-    raise_on_failure: bool,
-    epochs: int,
-    history: list[float],
-    cause: str,
-) -> PageRankResult:
-    """Finish with power iteration warm-started from the partial update."""
-    guess = np.maximum(x + q + res, 0.0)
-    result = power_iteration(
-        None,
-        alpha=alpha,
-        teleport=teleport,
-        tol=tol,
-        max_iter=max(max_iter, 1),
-        dangling=dangling,
-        raise_on_failure=raise_on_failure,
-        operator=bundle,
-        x0=guess if guess.sum() > 0.0 else None,
-    )
-    return record_result(
-        PageRankResult(
-            scores=result.scores,
-            iterations=epochs + result.iterations,
-            converged=result.converged,
-            residuals=history + result.residuals,
-            method="incremental_fallback",
-        ),
-        fallback=cause,
-        push_epochs=epochs,
-    )
+) -> np.ndarray | None:
+    """Residual of ``previous`` on the pre-delta system, or ``None``.
+
+    Normalises ``previous`` and ``teleport`` (``None`` = uniform) and
+    evaluates :func:`residual_vector` on ``old_bundle``: the
+    ``baseline_residual`` that :func:`incremental_update` freezes as dust
+    after the delta lands.  ``None`` when ``previous`` has no mass.
+    """
+    _, t = _validate_common(None, alpha, teleport, old_bundle)
+    total = previous.sum()
+    if total <= 0.0:
+        return None
+    return residual_vector(old_bundle, previous / total, t, alpha, dangling)
 
 
 def incremental_update(
@@ -195,14 +123,14 @@ def incremental_update(
         solver concludes the delta's influence is global — an epoch
         that streams a sweep's worth of entries contracts no faster
         than a power sweep — and falls back to warm-started power
-        iteration.  ``0`` forces the fallback immediately.
+        iteration.  ``0`` falls back at the first epoch that streams
+        any entry.
     operator:
         Pre-built bundle of the new transition.
     baseline_residual:
         The residual of ``previous`` on the **old** (pre-delta) system,
-        i.e. ``residual_vector(old_bundle, previous, t, alpha,
-        dangling)`` — :func:`repro.core.engine.update_scores` computes
-        it from the still-cached old bundle before applying the delta.
+        as :func:`baseline_residual` computes it from the old bundle
+        before the delta is applied.
         When given, this dense inherited background (total mass ≤ the
         old solve's tolerance) is frozen wholesale and subtracted from
         the working residual, leaving exactly the delta-induced part —
@@ -220,23 +148,16 @@ def incremental_update(
     -------
     PageRankResult
         ``method`` is ``"incremental_push"`` (localized convergence,
-        certified L1 distance ≤ ``tol·α/(1−α)`` — the cold power
-        iteration guarantee) or ``"incremental_fallback"``
+        certified L1 distance ≤ ``3·tol·α/(1−α)``) or ``"incremental_fallback"``
         (finished by warm-started power iteration); ``iterations``
         counts push epochs (plus fallback sweeps) and ``residuals`` the
         remaining signed residual mass per epoch.
     """
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator,
+        max_iter=max_iter, dangling=dangling,
+    )
     n = bundle.n
-    if dangling not in DANGLING_STRATEGIES:
-        raise ParameterError(
-            f"unknown dangling strategy {dangling!r}; "
-            f"expected one of {DANGLING_STRATEGIES}"
-        )
-    if not 0.0 <= frontier_cap <= 1.0:
-        raise ParameterError(
-            f"frontier_cap must be in [0, 1], got {frontier_cap}"
-        )
     x = np.asarray(previous, dtype=np.float64)
     if x.shape != (n,):
         raise ParameterError(
@@ -250,7 +171,6 @@ def incremental_update(
     x = x / total
 
     res = residual_vector(bundle, x, t, alpha, dangling)
-    q = np.zeros(n)
     # The previous solve was itself only tol-accurate, so ``res`` carries
     # a *dense* inherited background (total mass ≲ tol, per-entry ≲
     # tol/n) on top of the (sparse) delta-induced defect.  Chasing that
@@ -263,8 +183,7 @@ def incremental_update(
     # part) and magnitude-based otherwise (entries ≤ tol/n can never sum
     # past tol).  Dust mass is ≤ ~2·tol either way, so with the push
     # stopping at Σ|res| ≤ tol the final certified L1 distance from the
-    # exact fixed point is ≤ 3·tol·α/(1−α) — the same O(tol) class as a
-    # cold power iteration's tol·α/(1−α) certificate at the same tol.
+    # exact fixed point is ≤ 3·tol·α/(1−α).
     if baseline_residual is not None:
         base = np.asarray(baseline_residual, dtype=np.float64)
         if base.shape != (n,):
@@ -275,105 +194,35 @@ def incremental_update(
         res = res - base
     else:
         base = None
-    floor = tol / n
-    small = np.abs(res) <= floor
+    small = np.abs(res) <= tol / n
     dust = np.where(small, res, 0.0)
     res = res - dust
     if base is not None:
         dust = dust + base
-    sum_abs = float(np.abs(res).sum())
-    history: list[float] = [sum_abs]
-    stop_at = tol
-    if sum_abs <= stop_at:
-        return _finish(
-            x, q, res + dust,
-            epochs=0, converged=True, history=history,
+
+    run = residual_push(
+        bundle, res, t,
+        alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
+        frontier_cap=frontier_cap, raise_on_failure=raise_on_failure,
+    )
+    run.history.insert(0, float(np.abs(res).sum()))
+    estimate = x + run.settled + (run.residual + dust)
+    if run.cause is not None:
+        return power_finish(
+            bundle, t, estimate, run,
+            method="incremental_fallback", alpha=alpha, tol=tol,
+            max_iter=max_iter, dangling=dangling,
+            raise_on_failure=raise_on_failure,
+        )
+    np.maximum(estimate, 0.0, out=estimate)
+    total = estimate.sum()
+    scores = estimate / total if total > 0.0 else x.copy()
+    return record_result(
+        PageRankResult(
+            scores=scores,
+            iterations=run.epochs,
+            converged=run.converged,
+            residuals=run.history,
             method="incremental_push",
         )
-
-    if dangling == "uniform" and bundle.has_dangling:
-        # One dangling push densifies the correction; go straight to the
-        # solver the frontier check would fall back to anyway.
-        return _fallback(
-            bundle, t, x, q, res + dust,
-            alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
-            raise_on_failure=raise_on_failure, epochs=0, history=history,
-            cause="uniform_dangling",
-        )
-
-    mat = bundle.mat
-    row_nnz = np.diff(mat.indptr)
-    dangle_mask = bundle.dangle_mask
-    # Fall back when one epoch would stream more than frontier_cap of the
-    # stored entries: at that point a push epoch costs a comparable
-    # matrix stream to a full power sweep while contracting no faster,
-    # so warm-started power iteration wins.  (A *row-count* cap would
-    # misfire: a wide frontier of low-degree rows is still far cheaper
-    # than a sweep.)
-    frontier_limit = frontier_cap * mat.nnz
-    epochs = 0
-    converged = False
-    while epochs < max_iter:
-        abs_res = np.abs(res)
-        nnz = np.count_nonzero(abs_res)
-        if nnz == 0:
-            converged = True
-            break
-        theta = _THETA_FRACTION * sum_abs / nnz
-        active = np.flatnonzero(abs_res >= theta)
-        if int(row_nnz[active].sum()) > frontier_limit:
-            return _fallback(
-                bundle, t, x, q, res + dust,
-                alpha=alpha, tol=tol, max_iter=max_iter - epochs,
-                dangling=dangling, raise_on_failure=raise_on_failure,
-                epochs=epochs, history=history, cause="frontier_cap",
-            )
-        epochs += 1
-
-        if dangling == "self":
-            # Closed form, as in forward push but for the correction
-            # system: a self-looping dangling node's signed residual
-            # settles geometrically into its own correction,
-            # Σ_k α^k · res = res / (1−α).
-            self_d = active[dangle_mask[active]]
-            if self_d.size:
-                q[self_d] += res[self_d] / (1.0 - alpha)
-                res[self_d] = 0.0
-                active = active[~dangle_mask[active]]
-                if active.size == 0:
-                    sum_abs = float(np.abs(res).sum())
-                    history.append(sum_abs)
-                    if sum_abs <= stop_at:
-                        converged = True
-                        break
-                    continue
-
-        r_act = res[active].copy()
-        res[active] = 0.0
-        q[active] += r_act
-        # One restricted sparse·dense product over the active rows of the
-        # *new* matrix: res += α · Σ_u res_u · P'[u, :].
-        sub = mat[active]
-        res += alpha * (sub.T @ r_act)
-        if dangling == "teleport":
-            d_mass = float(r_act[dangle_mask[active]].sum())
-            if d_mass != 0.0:
-                res += alpha * d_mass * t
-        sum_abs = float(np.abs(res).sum())
-        history.append(sum_abs)
-        if sum_abs <= stop_at:
-            converged = True
-            break
-
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"incremental update did not reach tol={tol} within "
-            f"{max_iter} epochs (remaining residual mass={sum_abs:.3e})",
-            iterations=epochs,
-            residual=sum_abs,
-        )
-    return _finish(
-        x, q, res + dust,
-        epochs=epochs, converged=converged, history=history,
-        method="incremental_push",
     )

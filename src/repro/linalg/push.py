@@ -1,4 +1,4 @@
-"""Gauss–Southwell forward push: localized single-seed PageRank/D2PR.
+"""Gauss–Southwell residual push: localized PageRank/D2PR solves.
 
 Power iteration touches every stored nonzero of the transition on every
 sweep, regardless of where the probability mass actually lives.  For a
@@ -8,52 +8,69 @@ around high-degree nodes (exactly the localisation regime the PageRank
 tail literature describes, cf. Volkovich et al.), so the full matrix
 stream is mostly wasted work.
 
-:func:`forward_push` solves the same fixed point
+:func:`residual_push` is the one kernel behind every residual solver.  It
+solves
 
 .. math::
 
-    \\vec r = \\alpha P^T \\vec r + (1 - \\alpha) \\vec t
+    \\vec e = \\alpha \\hat P^T \\vec e + \\vec r_0
 
-by *residual propagation* instead: maintain a settled estimate ``q`` and a
-residual vector ``res`` with the invariant ``r = q + solve(res)``.
-Initially ``q = 0, res = t``; *pushing* a node ``u`` settles
-``(1−α)·res[u]`` into ``q[u]`` and forwards ``α·res[u]`` along ``u``'s
-out-edges (row ``u`` of ``P`` — the push direction needs **no transpose at
-all**).  Because ``solve`` preserves L1 mass, the total remaining residual
-``Σ res`` *is* the exact L1 distance to the true solution — a built-in
-certificate: the solver stops when ``Σ res ≤ tol``.
+(``\\hat P`` the dangling-augmented transition) for a given residual
+``r₀`` by *residual propagation*: maintain a settled estimate ``e`` and a
+residual ``res`` with the invariant ``e_true = e + solve(res)``.
+Initially ``e = 0, res = r₀``; *pushing* a node ``u`` settles ``res[u]``
+into ``e[u]`` and forwards ``α·res[u]`` along ``u``'s out-edges (row ``u``
+of ``P`` — the push direction needs **no transpose at all**).  Each push
+removes ``|res[u]|`` and re-injects at most ``α·|res[u]|``, so the L1
+error of ``e`` is at most ``Σ|res|/(1−α)``; the kernel stops at
+``Σ|res| ≤ tol``.  A residual that starts non-negative stays non-negative
+(absolute values are taken only when ``r₀`` has a negative entry).
 
-This implementation pushes **epoch-wise and vectorised** (a batched
-Gauss–Southwell): each epoch selects every node whose residual exceeds an
-adaptive threshold (a fraction of the mean active residual) and propagates
-them with one restricted sparse·dense product over just those rows.  The
-mass argument guarantees each epoch shrinks ``Σ res`` by at least
-``(1−c)(1−α)`` relative (``c`` the threshold fraction), so epochs are
-bounded by the same α-rate as power iteration while touching only the hot
-frontier instead of all ``nnz`` — the win grows with graph size for
-localized queries (``tools/bench_perf.py``, ``single_query``).
+Pushes run **epoch-wise and vectorised** (a batched Gauss–Southwell): each
+epoch selects every node whose residual exceeds an adaptive threshold (a
+fraction of the mean active residual) and propagates them with one
+restricted sparse·dense product over just those rows.  The mass argument
+guarantees each epoch shrinks ``Σ|res|`` by at least ``(1−c)(1−α)``
+relative (``c`` the threshold fraction), so epochs are bounded by the same
+α-rate as power iteration while touching only the hot frontier instead of
+all ``nnz``.
 
-When the premise fails — the frontier stops being sparse (uniform-ish
-teleports, very small α, ``dangling="uniform"`` spraying mass everywhere)
-— the solver *falls back* to :func:`~repro.linalg.solvers.power_iteration`
-through the same cached operator bundle, warm-started from ``q + res``, so
+Two solvers call the kernel:
+
+* :func:`forward_push` — personalised scores: ``r₀`` is the seed teleport
+  ``t``, so ``(1−α)·e`` solves ``r = αP̂ᵀr + (1−α)t``.  Because ``P̂``
+  preserves mass, the residual mass is then the exact L1 distance of the
+  unnormalised estimate from the true solution — a certificate.
+* :func:`~repro.linalg.incremental.incremental_update` — the correction
+  after a graph delta: ``r₀`` is the delta-induced defect.
+
+When the premise fails — one epoch would stream more than
+``frontier_cap`` of the stored entries (uniform-ish teleports, very small
+α, a delta with global reach), or ``dangling="uniform"`` sprays mass
+everywhere — the kernel stops early and :func:`power_finish` completes
+the solve with :func:`~repro.linalg.solvers.power_iteration` through the
+same cached operator bundle, warm-started from the partial estimate, so
 callers always get a correctly-converged result.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
 from repro.errors import ConvergenceError, ParameterError
-from repro.linalg.operator import DANGLING_STRATEGIES, LinearOperatorBundle
-from repro.linalg.solvers import PageRankResult, power_iteration
+from repro.linalg.operator import LinearOperatorBundle
+from repro.linalg.solvers import (
+    PageRankResult,
+    _validate_query,
+    power_iteration,
+)
 from repro.telemetry.trace import record_result
 
-__all__ = ["forward_push"]
+__all__ = ["forward_push", "power_finish", "residual_push", "PushRun"]
 
 #: Fraction of the mean active residual used as the per-epoch push
 #: threshold.  Mass below the threshold is < c·Σres, so every epoch pushes
@@ -147,44 +164,175 @@ def _seed_arrays(
     return idx, w / total
 
 
-def _fallback(
+@dataclass
+class PushRun:
+    """State of a :func:`residual_push` when it returns.
+
+    ``settled`` is the estimate ``e``, ``residual`` the mass left to push
+    and ``history`` the residual mass after each epoch.  ``cause`` names
+    why the kernel stopped before converging — ``"frontier_cap"`` or
+    ``"uniform_dangling"`` — and is ``None`` otherwise.
+    ``frontier_peak`` is the largest active frontier pushed, in rows.
+    """
+
+    settled: np.ndarray
+    residual: np.ndarray
+    epochs: int
+    history: list[float]
+    converged: bool
+    cause: str | None = None
+    frontier_peak: int = 0
+
+
+def residual_push(
     bundle: LinearOperatorBundle,
+    r0: np.ndarray,
     teleport: np.ndarray,
-    q: np.ndarray,
-    res: np.ndarray,
     *,
     alpha: float,
     tol: float,
     max_iter: int,
     dangling: str,
+    frontier_cap: float,
+    raise_on_failure: bool = False,
+) -> PushRun:
+    """Solve ``e = α·P̂ᵀe + r₀`` by vectorised Gauss–Southwell push.
+
+    ``teleport`` is where dangling mass goes under
+    ``dangling="teleport"``; ``"self"`` is settled in closed form (a
+    self-looping dangling node keeps its residual in place).  The kernel
+    stops with ``cause="frontier_cap"`` when one epoch would stream more
+    than ``frontier_cap`` of the stored entries (the nnz of the active
+    rows): such an epoch costs a power sweep's matrix stream and
+    contracts no faster.  Under ``dangling="uniform"`` a graph with
+    dangling rows stops at once with ``cause="uniform_dangling"``, since
+    one dangling push would densify the residual.  ``raise_on_failure``
+    raises :class:`ConvergenceError` when the epoch budget runs out.
+    """
+    if not 0.0 <= frontier_cap <= 1.0:
+        raise ParameterError(
+            f"frontier_cap must be in [0, 1], got {frontier_cap}"
+        )
+    res = np.array(r0, dtype=np.float64)
+    settled = np.zeros_like(res)
+    # Pushes keep a non-negative residual non-negative, so only a signed
+    # start needs the absolute-value pass each epoch.
+    signed = bool((res < 0).any())
+    mag = np.abs(res) if signed else res
+    mass = float(mag.sum())
+    run = PushRun(settled, res, 0, [], converged=mass <= tol)
+    if run.converged:
+        return run
+    if dangling == "uniform" and bundle.has_dangling:
+        run.cause = "uniform_dangling"
+        return run
+
+    mat = bundle.mat
+    indptr = mat.indptr
+    dangle_mask = bundle.dangle_mask
+    if dangling == "teleport":
+        # Scatter dangling mass onto the teleport's support; a dense
+        # teleport takes a plain (view) add instead of fancy indexing.
+        t_idx = np.flatnonzero(teleport)
+        if 2 * t_idx.size > teleport.size:
+            t_idx = slice(None)
+        t_w = teleport[t_idx]
+    entry_limit = frontier_cap * mat.nnz
+    while run.epochs < max_iter:
+        # Adaptive Gauss–Southwell threshold: push everything holding at
+        # least _THETA_FRACTION of the mean active residual.  The mean is
+        # ≤ the max, so the active set is never empty while mass remains.
+        support = np.count_nonzero(mag)
+        if support == 0:
+            run.converged = True
+            break
+        theta = _THETA_FRACTION * mass / support
+        active = np.flatnonzero(mag >= theta)
+        if int((indptr[active + 1] - indptr[active]).sum()) > entry_limit:
+            run.cause = "frontier_cap"
+            return run
+        run.frontier_peak = max(run.frontier_peak, int(active.size))
+        run.epochs += 1
+
+        if dangling == "self":
+            # Closed form: a self-looping dangling node's residual settles
+            # geometrically into its own entry, Σ_k α^k · res = res/(1−α).
+            self_d = active[dangle_mask[active]]
+            if self_d.size:
+                settled[self_d] += res[self_d] / (1.0 - alpha)
+                res[self_d] = 0.0
+                active = active[~dangle_mask[active]]
+
+        if active.size:
+            r_act = res[active]
+            res[active] = 0.0
+            settled[active] += r_act
+            # One restricted sparse·dense product over just the active
+            # rows: res += α · Σ_u res_u · P[u, :].
+            res += alpha * (mat[active].T @ r_act)
+            if dangling == "teleport":
+                d_mass = float(r_act[dangle_mask[active]].sum())
+                if d_mass != 0.0:
+                    res[t_idx] += alpha * d_mass * t_w
+        mag = np.abs(res) if signed else res
+        mass = float(mag.sum())
+        run.history.append(mass)
+        if mass <= tol:
+            run.converged = True
+            break
+
+    if not run.converged and raise_on_failure:
+        raise ConvergenceError(
+            f"residual push did not reach tol={tol} within {max_iter} "
+            f"epochs (remaining residual mass={mass:.3e})",
+            iterations=run.epochs,
+            residual=mass,
+        )
+    return run
+
+
+def power_finish(
+    bundle: LinearOperatorBundle,
+    teleport: np.ndarray,
+    guess: np.ndarray,
+    run: PushRun,
+    *,
+    method: str,
+    alpha: float,
+    tol: float,
+    max_iter: int,
+    dangling: str,
     raise_on_failure: bool,
-    epochs: int,
-    history: list[float],
-    cause: str,
 ) -> PageRankResult:
-    """Finish with power iteration (same bundle), warm-started from q+res."""
-    guess = q + res
-    x0 = guess if guess.sum() > 0.0 else None
+    """Finish a push that stopped early with warm-started power iteration.
+
+    ``guess`` (clipped at zero) seeds the sweeps through the same bundle
+    and ``tol`` bounds their last L1 step; the result counts the push
+    epochs and their history ahead of the sweeps and records
+    ``run.cause`` as the fallback cause.
+    """
+    guess = np.maximum(guess, 0.0)
     result = power_iteration(
         None,
         alpha=alpha,
         teleport=teleport,
         tol=tol,
-        max_iter=max_iter,
+        max_iter=max(max_iter - run.epochs, 1),
         dangling=dangling,
         raise_on_failure=raise_on_failure,
         operator=bundle,
-        x0=x0,
+        x0=guess if guess.sum() > 0.0 else None,
     )
     return record_result(
-        replace(
-            result,
-            iterations=epochs + result.iterations,
-            residuals=history + result.residuals,
-            method="forward_push_fallback",
+        PageRankResult(
+            scores=result.scores,
+            iterations=run.epochs + result.iterations,
+            converged=result.converged,
+            residuals=run.history + result.residuals,
+            method=method,
         ),
-        fallback=cause,
-        push_epochs=epochs,
+        fallback=run.cause,
+        push_epochs=run.epochs,
     )
 
 
@@ -225,16 +373,15 @@ def forward_push(
         Epoch budget (one epoch = one batched push of the active frontier).
     dangling:
         ``"teleport"`` (default) and ``"self"`` stay sparse and are handled
-        natively (``"self"`` in closed form: a self-looping dangling node's
-        residual settles entirely into its own score).  ``"uniform"``
-        sprays dangling mass over all nodes, which destroys frontier
-        sparsity, so graphs with dangling rows fall back to power
-        iteration under it.
+        natively.  ``"uniform"`` sprays dangling mass over all nodes,
+        which destroys frontier sparsity, so graphs with dangling rows
+        fall back to power iteration under it.
     frontier_cap:
-        Fraction of ``n`` the active frontier may reach before the solver
+        Fraction of the matrix's stored entries one push epoch may
+        stream (the nnz of the active frontier's rows) before the solver
         concludes the query is not localized and falls back to
-        warm-started power iteration.  ``0`` forces the fallback
-        immediately (useful for testing).
+        warm-started power iteration.  ``0`` falls back at the first
+        epoch that streams any entry (useful for testing).
     operator:
         Pre-built :class:`~repro.linalg.operator.LinearOperatorBundle`;
         when omitted the memoised bundle of ``transition`` is used.
@@ -250,117 +397,39 @@ def forward_push(
         ``iterations`` counts epochs (plus fallback sweeps),
         ``residuals`` the per-epoch remaining residual mass.
     """
-    bundle = LinearOperatorBundle.resolve(transition, operator)
-    n = bundle.n
-    if not 0.0 <= alpha < 1.0:
-        raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
-    if dangling not in DANGLING_STRATEGIES:
-        raise ParameterError(
-            f"unknown dangling strategy {dangling!r}; "
-            f"expected one of {DANGLING_STRATEGIES}"
-        )
-    if not 0.0 <= frontier_cap <= 1.0:
-        raise ParameterError(
-            f"frontier_cap must be in [0, 1], got {frontier_cap}"
-        )
-    seed_idx, seed_w = _seed_arrays(seeds, n)
-
-    teleport = np.zeros(n)
+    bundle = _validate_query(
+        transition, alpha, operator, max_iter=max_iter, dangling=dangling
+    )
+    seed_idx, seed_w = _seed_arrays(seeds, bundle.n)
+    teleport = np.zeros(bundle.n)
     teleport[seed_idx] = seed_w
 
-    mat = bundle.mat
-    dangle_mask = bundle.dangle_mask
-    q = np.zeros(n)
-    res = teleport.copy()
-    sum_res = 1.0
-    history: list[float] = []
-    frontier_limit = frontier_cap * n
-
-    if dangling == "uniform" and bundle.has_dangling:
-        # Dangling mass sprayed uniformly densifies the residual in one
-        # step: push has no advantage, go straight to the solver it would
-        # fall back to anyway.
-        return _fallback(
-            bundle, teleport, q, res,
-            alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
-            raise_on_failure=raise_on_failure, epochs=0, history=history,
-            cause="uniform_dangling",
-        )
-
-    epochs = 0
-    converged = False
-    frontier_peak = 0
-    while epochs < max_iter:
-        # Adaptive Gauss–Southwell threshold: push everything holding at
-        # least _THETA_FRACTION of the mean active residual.  The mean is
-        # ≤ the max, so the active set is never empty while mass remains.
-        nnz = np.count_nonzero(res)
-        if nnz == 0:
-            converged = True
-            break
-        theta = _THETA_FRACTION * sum_res / nnz
-        active = np.flatnonzero(res >= theta)
-        if active.size > frontier_limit:
-            return _fallback(
-                bundle, teleport, q, res,
-                alpha=alpha, tol=tol, max_iter=max_iter - epochs,
-                dangling=dangling, raise_on_failure=raise_on_failure,
-                epochs=epochs, history=history, cause="frontier_cap",
-            )
-        if active.size > frontier_peak:
-            frontier_peak = int(active.size)
-        epochs += 1
-
-        if dangling == "self":
-            # Closed form: a dangling node keeps its walk mass in place,
-            # so its residual settles geometrically into its own score —
-            # Σ_k (1−α)α^k · res = res.  Settle it in one step.
-            self_d = active[dangle_mask[active]]
-            if self_d.size:
-                q[self_d] += res[self_d]
-                res[self_d] = 0.0
-                active = active[~dangle_mask[active]]
-                if active.size == 0:
-                    sum_res = float(res.sum())
-                    history.append(sum_res)
-                    if sum_res <= tol:
-                        converged = True
-                        break
-                    continue
-
-        r_act = res[active].copy()
-        res[active] = 0.0
-        q[active] += (1.0 - alpha) * r_act
-        # One restricted sparse·dense product over just the active rows:
-        # res += α · Σ_u r_u · P[u, :].
-        sub = mat[active]
-        res += alpha * (sub.T @ r_act)
-        if dangling == "teleport":
-            d_mass = float(r_act[dangle_mask[active]].sum())
-            if d_mass > 0.0:
-                res[seed_idx] += alpha * d_mass * seed_w
-        sum_res = float(res.sum())
-        history.append(sum_res)
-        if sum_res <= tol:
-            converged = True
-            break
-
-    if not converged and raise_on_failure:
-        raise ConvergenceError(
-            f"forward push did not reach tol={tol} within {max_iter} "
-            f"epochs (remaining residual mass={sum_res:.3e})",
-            iterations=epochs,
-            residual=sum_res,
+    run = residual_push(
+        bundle, teleport, teleport,
+        alpha=alpha, tol=tol, max_iter=max_iter, dangling=dangling,
+        frontier_cap=frontier_cap, raise_on_failure=raise_on_failure,
+    )
+    # (1−α)·e solves the PageRank system with teleport t.
+    q = (1.0 - alpha) * run.settled
+    if run.cause is not None:
+        # A power iterate's L1 error is at most α/(1−α) times its last
+        # step, so stopping the steps at (1−α)·tol keeps push's
+        # certificate: error ≤ α·tol.
+        return power_finish(
+            bundle, teleport, q + run.residual, run,
+            method="forward_push_fallback", alpha=alpha,
+            tol=(1.0 - alpha) * tol, max_iter=max_iter, dangling=dangling,
+            raise_on_failure=raise_on_failure,
         )
     total = q.sum()
     scores = q / total if total > 0.0 else teleport.copy()
     return record_result(
         PageRankResult(
             scores=scores,
-            iterations=epochs,
-            converged=converged,
-            residuals=history,
+            iterations=run.epochs,
+            converged=run.converged,
+            residuals=run.history,
             method="forward_push",
         ),
-        frontier_peak=frontier_peak,
+        frontier_peak=run.frontier_peak,
     )

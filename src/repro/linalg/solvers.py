@@ -92,24 +92,50 @@ class PageRankResult:
         return np.argsort(-self.scores, kind="stable")
 
 
-def _validate_common(
+def _validate_query(
     transition: sparse.spmatrix | None,
     alpha: float,
-    teleport: np.ndarray | None,
     operator: LinearOperatorBundle | None = None,
-) -> tuple[LinearOperatorBundle, np.ndarray]:
-    """Resolve the cached operator bundle and the normalised teleport.
+    *,
+    max_iter: int | None = None,
+    dangling: str | None = None,
+) -> LinearOperatorBundle:
+    """Resolve the cached operator bundle and check the query parameters.
 
     ``operator`` short-circuits matrix canonicalisation entirely; otherwise
     the bundle is looked up on (or attached to) ``transition`` via
     :meth:`LinearOperatorBundle.of`, so repeated solves against the same
     matrix object — what the graph matrix cache hands out — share one
-    bundle and never re-derive transpose/dangling views.
+    bundle and never re-derive transpose/dangling views.  ``max_iter``
+    and ``dangling`` are checked when given.
     """
     bundle = LinearOperatorBundle.resolve(transition, operator)
-    n = bundle.n
     if not 0.0 <= alpha < 1.0:
         raise ParameterError(f"alpha must be in [0, 1), got {alpha}")
+    if max_iter is not None and max_iter < 1:
+        raise ParameterError(f"max_iter must be positive, got {max_iter}")
+    if dangling is not None and dangling not in DANGLING_STRATEGIES:
+        raise ParameterError(
+            f"unknown dangling strategy {dangling!r}; "
+            f"expected one of {DANGLING_STRATEGIES}"
+        )
+    return bundle
+
+
+def _validate_common(
+    transition: sparse.spmatrix | None,
+    alpha: float,
+    teleport: np.ndarray | None,
+    operator: LinearOperatorBundle | None = None,
+    *,
+    max_iter: int | None = None,
+    dangling: str | None = None,
+) -> tuple[LinearOperatorBundle, np.ndarray]:
+    """:func:`_validate_query`, plus the normalised teleport vector."""
+    bundle = _validate_query(
+        transition, alpha, operator, max_iter=max_iter, dangling=dangling
+    )
+    n = bundle.n
     if teleport is None:
         t = np.full(n, 1.0 / n)
     else:
@@ -209,7 +235,10 @@ def power_iteration(
     -------
     PageRankResult
     """
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator,
+        max_iter=max_iter, dangling=dangling,
+    )
     dangle_mask = bundle.dangle_mask
     has_dangling = bundle.has_dangling
     dangle_target = bundle.dangling_target(dangling, t)
@@ -282,7 +311,10 @@ def extrapolated_power_iteration(
         raise ParameterError(
             f"extrapolate_every must be >= 3, got {extrapolate_every}"
         )
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator,
+        max_iter=max_iter, dangling=dangling,
+    )
     dangle_mask = bundle.dangle_mask
     has_dangling = bundle.has_dangling
     dangle_target = bundle.dangling_target(dangling, t)
@@ -378,7 +410,9 @@ def gauss_seidel(
     ``x0`` optionally warm-starts the sweeps (normalised automatically);
     the fixed point is unchanged.
     """
-    bundle, t = _validate_common(transition, alpha, teleport, operator)
+    bundle, t = _validate_common(
+        transition, alpha, teleport, operator, max_iter=max_iter
+    )
     n = bundle.n
     # Row j of the system matrix involves column j of P: iterate on the
     # bundle's memoised patched-CSC view (dangling rows densified once per

@@ -67,9 +67,8 @@ from repro.errors import ParameterError, ReproError
 from repro.graph.base import BaseGraph, Node
 from repro.graph.delta import GraphDelta
 from repro.graph.persist import DeltaLog, load_snapshot, save_snapshot
-from repro.linalg.incremental import incremental_update, residual_vector
+from repro.linalg.incremental import baseline_residual, incremental_update
 from repro.linalg.push import forward_push
-from repro.linalg.solvers import _validate_common
 from repro.serving.cache import CacheEntry, ResultCache
 from repro.serving.coalescer import CoalescerTicket, MicrobatchCoalescer
 from repro.serving.latency import LatencyRecorder
@@ -807,19 +806,13 @@ class RankingService:
         pending = entry.pending
         baseline = None
         if isinstance(pending, _PendingCorrection):
-            values = entry.scores.values
-            total = values.sum()
-            _, t_norm = _validate_common(
-                None, request.alpha, teleport, pending.old_bundle
+            baseline = baseline_residual(
+                pending.old_bundle,
+                entry.scores.values,
+                teleport,
+                request.alpha,
+                request.dangling,
             )
-            if total > 0.0:
-                baseline = residual_vector(
-                    pending.old_bundle,
-                    values / total,
-                    t_norm,
-                    request.alpha,
-                    request.dangling,
-                )
         result = incremental_update(
             None,
             entry.scores.values,

@@ -162,6 +162,13 @@ EOF
 
 python tools/bench_perf.py --quick
 
+# Write-path smoke of the benchmark: a short traced update_stream run
+# serves reads beside deltas (forward push, cache corrections by
+# incremental_update), re-solves served answers against the oracle and
+# exits 1 on a miss of more than 100x, or when repro.serving.service no
+# longer binds the solvers the benchmark traces.
+python perfbench/run.py --workload update_stream --seed 1 --seconds 5 --trace 1
+
 fail=0
 shm_after=$(ls /dev/shm 2>/dev/null | grep '^repro_shard_' || true)
 leaked=$(comm -13 <(sort <<<"$shm_before") <(sort <<<"$shm_after") | grep . || true)
